@@ -4,11 +4,16 @@
 // sim::traffic (deterministic per-session seeds), then sweeps
 // session count × ingest block size × worker threads through
 // serve::session_manager, interleaving offers round-robin across
-// sessions with periodic fork-join drains — the arrival pattern of a
+// sessions with periodic drain() calls — the arrival pattern of a
 // fleet of concurrent capture streams. Reports per-combo wall time,
 // real-time factor (audio seconds scored per wall second), fleet-wide
 // p50/p95/p99 block latency, and shed/rejected block counts into
 // BENCH_serve.json (+ the run log).
+//
+// "Fork-join" in arm names, notes and JSON labels below means that
+// schedule: offers interleaved with drain() calls, each of which runs
+// the manager's ready-queue workers until idle and stops them. The
+// label is kept so run-log records stay comparable across commits.
 //
 // Two invariants are CHECKED, not just reported:
 //   * determinism: per-session verdict streams must be bit-identical at
@@ -21,8 +26,8 @@
 // deterministic arrival timeline (Poisson session starts + per-block
 // capture times), and the harness offers every block AT its arrival
 // time against a live streaming manager (session_manager::start/stop —
-// long-lived workers, no fork-join barriers). Queue-wait and service
-// latency are reported as SEPARATE histograms, and the per-session
+// long-lived workers, no drain() stop/start cycles). Queue-wait and
+// service latency are reported as SEPARATE histograms, and the per-session
 // verdict streams of every paced run must be bit-identical to a
 // fork-join drain() replay of the same blocks (exit 1 on mismatch).
 //

@@ -6,7 +6,7 @@
 // utterance. The chaos harness therefore needs to place faults into the
 // serving path in a way that is REPRODUCIBLE — the same fault schedule
 // must hit the same sessions at the same stream positions at any worker
-// count and in both drain disciplines, or the bit-identity checks that
+// count and under any drain schedule, or the bit-identity checks that
 // pin the layer's determinism would be meaningless under fault load.
 //
 // The injector achieves that by being a pure function: whether a fault
@@ -91,7 +91,7 @@ class fault_injector {
 
   // True when `kind` fires in `session` at per-session counter `index`.
   // Pure in (config, kind, session, index): identical at any worker
-  // count, drain mode, or call order.
+  // count, drain schedule, or call order.
   bool fires(fault_kind kind, std::uint64_t session,
              std::uint64_t index) const;
 

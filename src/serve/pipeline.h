@@ -17,8 +17,8 @@
 //
 // The outcome stream is a pure function of the accepted-block order —
 // the same contract as the verdict stream — so it is bit-identical at
-// any worker count, in both drain disciplines, and under any block
-// chunking. An utterance only resolves once the detector has consumed
+// any worker count, under any start/stop/drain() schedule, and under
+// any block chunking. An utterance only resolves once the detector has consumed
 // past its end by the verdict guard plus a full analysis window, i.e.
 // once every defense window that the guard-grown overlap test could
 // match has been decided; scheduling moves when a resolution happens,

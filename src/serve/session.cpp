@@ -208,8 +208,8 @@ detection_session::metric_handles::metric_handles(obs::metrics_registry* reg) {
   }
   blocks_processed = reg->get_counter("serve_blocks_processed_total");
   // Shed/reject counts depend on drain timing (a streaming fleet drains
-  // while producers offer; a fork-join fleet queues first), so they are
-  // excluded from the deterministic fingerprint.
+  // while producers offer; a drain()-cycled fleet queues first), so they
+  // are excluded from the deterministic fingerprint.
   blocks_shed = reg->get_counter("serve_blocks_shed_total", {}, false);
   blocks_rejected = reg->get_counter("serve_blocks_rejected_total", {}, false);
   events = reg->get_counter("serve_verdicts_total");
@@ -530,7 +530,7 @@ void detection_session::contain_fault(std::uint64_t session_stats::* counter,
   }
 }
 
-std::size_t detection_session::process(std::size_t max_blocks) {
+std::size_t detection_session::process() {
   if (!busy_.try_claim()) {
     return 0;  // another worker owns this session right now
   }
@@ -543,7 +543,7 @@ std::size_t detection_session::process(std::size_t max_blocks) {
   }
   std::size_t processed = 0;
   queued_block item;
-  while (max_blocks == 0 || processed < max_blocks) {
+  for (;;) {
     {
       // Re-check per block: contain_fault() may have parked the session
       // mid-drain. Parked = stop scoring; queued blocks survive for a

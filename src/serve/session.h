@@ -7,8 +7,8 @@
 //
 //   * the verdict stream is a pure function of the sequence of ACCEPTED
 //     blocks — workers drain a session exclusively and in FIFO order, so
-//     verdicts are bit-identical at any worker count and any drain
-//     schedule (fork-join drain() or streaming start()/stop());
+//     verdicts are bit-identical at any worker count and any
+//     start()/stop()/drain() schedule of the manager's workers;
 //     scheduling only moves the latency numbers;
 //   * overflow is explicit: when the ring is full the configured policy
 //     either sheds (newest or oldest, counted per session) or rejects
@@ -101,14 +101,9 @@ struct serve_config {
   std::optional<pipeline_config> pipeline;
   std::size_t queue_capacity = 64;       // blocks per session ring
   overflow_policy policy = overflow_policy::shed_newest;
-  // Worker threads draining sessions. For fork-join drain() this sizes
-  // the common/parallel.h pool (counts the calling thread; 0 = one per
-  // hardware thread). For streaming start() it is the default long-lived
-  // worker count when start(0) is called.
+  // Worker threads the owning manager runs for drain() and start(0);
+  // 0 = default_thread_count() (one per hardware thread).
   std::size_t worker_threads = 0;
-  // Blocks a worker processes per claim of one session (its scoring
-  // batch). 0 = drain the session's queue completely per claim.
-  std::size_t max_blocks_per_pass = 0;
   // Binning of every latency histogram (total, queue-wait, service).
   // Per-session histograms and the aggregate() fold all use this, so
   // merges always see matching configs.
@@ -262,11 +257,11 @@ class detection_session {
   // True while queued blocks remain or a close() flush is still owed.
   bool has_work() const;
 
-  // Consumer side: processes up to `max_blocks` queued blocks (0 = all
-  // currently queued) through the detector, appending verdicts. Only one
-  // worker runs a session at a time — concurrent callers return 0
-  // immediately instead of blocking. Returns blocks processed.
-  std::size_t process(std::size_t max_blocks = 0);
+  // Consumer side: processes every queued block through the detector,
+  // appending verdicts. Only one worker runs a session at a time —
+  // concurrent callers return 0 immediately instead of blocking.
+  // Returns blocks processed.
+  std::size_t process();
 
   // Snapshot of the verdict stream so far. Safe to call at any time,
   // including while a worker is appending (streaming mode).

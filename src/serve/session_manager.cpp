@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/parallel.h"
 
 namespace ivc::serve {
 
@@ -30,7 +31,6 @@ session_manager::session_manager(defense::classifier_detector detector,
     : detector_{std::move(detector)},
       config_{config},
       metrics_{config.metrics.get()},
-      pool_{config.worker_threads},
       evic_{config.latency_bins} {}
 
 session_manager::~session_manager() { stop(); }
@@ -261,44 +261,15 @@ void session_manager::drain() {
   expects(!streaming(),
           "session_manager: drain() must not run while streaming workers "
           "are live — call stop() first");
-  for (;;) {
-    std::vector<std::shared_ptr<detection_session>> ready;
-    {
-      const ts_lock lock{sessions_mutex_};
-      ready.reserve(slots_.size());
-      for (const slot& sl : slots_) {
-        // Evicted sessions are idle by construction: only live ones can
-        // hold work.
-        if (sl.live != nullptr && sl.live->has_work()) {
-          ready.push_back(sl.live);
-        }
-      }
-    }
-    if (ready.empty()) {
-      return;
-    }
-    // One task per ready session: a session is drained by exactly one
-    // worker (process() claims it), so verdict order never depends on
-    // the pool size. The backstop catch is the fleet's containment of
-    // last resort — process() contains stage faults itself, but if an
-    // exception ever escapes it, that session is parked and the OTHER
-    // sessions keep draining instead of the whole process dying in
-    // std::terminate.
-    pool_.parallel_for(ready.size(), [&](std::size_t i) {
-      try {
-        ready[i]->process(config_.max_blocks_per_pass);
-      } catch (const std::exception& e) {
-        ready[i]->force_quarantine(e.what());
-      } catch (...) {
-        ready[i]->force_quarantine("unknown exception escaped process()");
-      }
-    });
-  }
+  start(config_.worker_threads);
+  stop();
 }
 
 void session_manager::start(std::size_t n_workers) {
-  const std::size_t count =
-      n_workers == 0 ? default_thread_count() : n_workers;
+  std::size_t count = n_workers == 0 ? config_.worker_threads : n_workers;
+  if (count == 0) {
+    count = default_thread_count();
+  }
   {
     // Hold BOTH locks (sessions, then sched — the global order) across
     // seeding and worker spawn: an open_session + offer racing start()
@@ -362,14 +333,11 @@ bool session_manager::reopen(std::uint64_t id) {
   const ts_lock lock{sessions_mutex_};
   expects(id < slots_.size(), "session_manager: unknown session id");
   slot& sl = slots_[id];
-  if (sl.live == nullptr) {
-    // Peek at the frozen state first: reopening is only meaningful for
-    // a quarantined session, and a plain `false` must not change the
-    // resident set.
-    if (snapshot_state(json::from_binary(sl.frozen)) !=
-        session_state::quarantined) {
-      return false;
-    }
+  // Check the freeze-time state first: reopening is only meaningful for
+  // a quarantined session, and a plain `false` must not change the
+  // resident set.
+  if (sl.live == nullptr && sl.state_hint != session_state::quarantined) {
+    return false;
   }
   const std::shared_ptr<detection_session> s = ensure_resident(id);
   if (!s->reopen()) {
@@ -390,7 +358,7 @@ void session_manager::notify_ready(std::uint64_t id,
   {
     const ts_lock lock{sched_mutex_};
     if (workers_.empty()) {
-      return;  // not streaming: drain() discovers work by scanning
+      return;  // not streaming: the next start() seeds it by scanning
     }
     if (sched_[id] == sched_state::idle) {
       sched_[id] = sched_state::queued;
@@ -421,12 +389,13 @@ void session_manager::worker_loop() {
     sched_[id] = sched_state::claimed;
     lock.unlock();
 
-    // Same backstop as drain(): a streaming worker thread that lets an
-    // exception escape dies in std::terminate and takes the process with
-    // it. Park the session instead; the worker survives to serve the
-    // rest of the fleet.
+    // The fleet's containment of last resort: process() contains stage
+    // faults itself, but a worker thread that lets an exception escape
+    // dies in std::terminate and takes the process with it. Park the
+    // session instead; the worker survives to serve the rest of the
+    // fleet.
     try {
-      s->process(config_.max_blocks_per_pass);
+      s->process();
     } catch (const std::exception& e) {
       s->force_quarantine(e.what());
     } catch (...) {
@@ -457,7 +426,7 @@ void session_manager::worker_loop() {
 void session_manager::finish() {
   close_all();
   // stop() is a no-op when not streaming; when streaming it flushes
-  // everything enqueued, and the scan-based drain sweeps any block a
+  // everything enqueued, and drain()'s seeding scan sweeps any block a
   // racing offer left behind.
   stop();
   drain();

@@ -1,28 +1,21 @@
 // Multi-stream defense serving layer: N concurrent detection sessions
-// drained by a shared worker pool.
+// drained by a shared set of worker threads.
 //
-// The manager owns the sessions and offers two drain disciplines over
-// the same exclusive-claim contract:
+// The manager owns the sessions and runs ONE scheduler over them: n
+// long-lived workers (start(n)/stop()) block on a condition-variable
+// ready-queue. A session enqueues itself when an offer()/close() gives
+// it work; a worker claims it exclusively, scores its queued blocks
+// back-to-back (the scoring batch — the per-thread caches under feature
+// extraction are hit instead of rebuilt per window), then re-queues it
+// if more work arrived meanwhile. No barriers: latency is per-session,
+// not per-slowest-session, which is what arrival-time-paced workloads
+// need. drain() is the batch-replay entry point onto the same queue:
+// start the workers, run until idle, stop.
 //
-//   * Fork-join drain(): every pass fans the common/parallel.h pool out
-//     over the sessions that currently have work and barriers on the
-//     slowest — the batch-replay shape. Simple, but a fleet that keeps
-//     offering audio re-arms the pass forever and every pass pays for
-//     its slowest session.
-//   * Streaming start(n)/stop(): n long-lived workers block on a
-//     condition-variable ready-queue. A session enqueues itself when an
-//     offer()/close() gives it work; a worker claims it exclusively,
-//     scores its queued blocks back-to-back (the scoring batch — the
-//     per-thread caches under feature extraction are hit instead of
-//     rebuilt per window), then re-queues it if more work arrived
-//     meanwhile. No barriers: latency is per-session, not
-//     per-slowest-session, which is what arrival-time-paced workloads
-//     need.
-//
-// Because a session is always drained exclusively and in FIFO order
-// under EITHER discipline, per-session verdict streams are bit-identical
-// at any worker count and across the two modes; only latency and
-// throughput move.
+// Because a session is always drained exclusively and in FIFO order,
+// per-session verdict streams are bit-identical at any worker count and
+// under any start/stop/drain() schedule; only latency and throughput
+// move.
 //
 // Backpressure is explicit and lives at the session queues: a full ring
 // sheds (newest or oldest) or rejects per serve_config::policy, and
@@ -65,7 +58,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/sync.h"
 #include "common/thread_annotations.h"
 #include "serve/session.h"
@@ -113,9 +105,8 @@ class session_manager {
   const serve_config& config() const { return config_; }
 
   // Opens a new session and returns its id (dense, starting at 0).
-  // Thread-safe; sessions may be opened mid-stream while streaming
-  // workers run (the new session joins the ready-queue on its first
-  // offer). Do not call concurrently with fork-join drain().
+  // Thread-safe; sessions may be opened while workers run (the new
+  // session joins the ready-queue on its first offer).
   std::uint64_t open_session();
 
   // Opens a session with its OWN config — detector stream windowing,
@@ -141,32 +132,32 @@ class session_manager {
   // it is not already queued/claimed.
   offer_status offer(std::uint64_t id, audio::buffer block);
 
-  // Marks a session (or all of them) end-of-stream; the flush happens on
-  // the next drain, or — while streaming — as soon as a worker claims
-  // the session. close() on an evicted session rehydrates it so the
+  // Marks a session (or all of them) end-of-stream; the flush happens as
+  // soon as a worker claims the session (on the next drain() when not
+  // streaming). close() on an evicted session rehydrates it so the
   // flush can run (no-op when the snapshot is already closed+flushed);
   // close_all() skips rehydrating those.
   void close(std::uint64_t id);
   void close_all();
 
-  // Fork-join: runs the worker pool over every session with pending work
-  // until all queues are empty (and closed sessions are flushed). Safe
-  // to call repeatedly; producers may keep offering concurrently, in
-  // which case drain returns once it observes a pass with nothing left
-  // to do. Must not be called while streaming workers run.
+  // Run until idle: start(config().worker_threads) then stop(), so every
+  // session with pending work is drained (and closed sessions flushed)
+  // on the streaming workers. Safe to call repeatedly; an offer that
+  // races the stop may stay queued for the next start() or drain().
+  // Throws std::invalid_argument while streaming — call stop() instead.
   void drain();
 
-  // Streaming: spawns `n_workers` long-lived worker threads (0 =
-  // default_thread_count()) blocking on the ready-queue, and enqueues
+  // Spawns `n_workers` long-lived worker threads (0 =
+  // config().worker_threads) blocking on the ready-queue, and enqueues
   // every session that already has work. Idempotent: calling start()
   // while streaming is a no-op (the worker count does not change).
   void start(std::size_t n_workers = 0);
 
-  // Streaming: finishes everything on the ready-queue (including work
-  // sessions re-queue for themselves while stopping), then joins the
-  // workers. Offers that race with stop() may leave queued blocks
-  // behind; they are picked up by the next start() or drain().
-  // Idempotent: stop() without start() is a no-op.
+  // Finishes everything on the ready-queue (including work sessions
+  // re-queue for themselves while stopping), then joins the workers.
+  // Offers that race with stop() may leave queued blocks behind; they
+  // are picked up by the next start() or drain(). Idempotent: stop()
+  // without start() is a no-op.
   void stop();
 
   // True between start() and stop().
@@ -180,8 +171,7 @@ class session_manager {
   // and an evicted quarantined session is rehydrated first.
   bool reopen(std::uint64_t id);
 
-  // close_all() + flush: in streaming mode stops the workers after the
-  // flush; otherwise runs a fork-join drain.
+  // close_all() + flush, then stops: close_all(); stop(); drain().
   void finish();
 
   // Direct access to a RESIDENT session (throws std::invalid_argument
@@ -284,7 +274,6 @@ class session_manager {
   defense::classifier_detector detector_;
   serve_config config_;
   metric_handles metrics_;
-  thread_pool pool_;
   // Guards slots_ + eviction state; always acquired BEFORE sched_mutex_
   // (offer -> notify_ready). A session mutex may be taken under either —
   // never the other way around.

@@ -1,6 +1,5 @@
 #include "serve/shard.h"
 
-#include <thread>
 #include <utility>
 
 #include "common/error.h"
@@ -17,6 +16,21 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58'476d'1ce4'e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d0'49bb'1331'11ebULL;
   return x ^ (x >> 31);
+}
+
+// Maps shard-local (id, error) pairs to global ids through `to_global`
+// (one table of global_ids()). A local id the front never routed — a
+// session opened through shard(i) directly — is a caller bug.
+void append_global(
+    const std::vector<std::uint64_t>& to_global,
+    const std::vector<std::pair<std::uint64_t, std::string>>& local,
+    std::vector<std::pair<std::uint64_t, std::string>>& out) {
+  for (const auto& [id, err] : local) {
+    expects(id < to_global.size(),
+            "shard_manager: shard reports a session the front never "
+            "routed (opened through shard(i) directly?)");
+    out.emplace_back(to_global[id], err);
+  }
 }
 
 }  // namespace
@@ -120,16 +134,14 @@ void shard_manager::close_all() {
 }
 
 void shard_manager::drain() {
-  // Shards are independent lock domains: drain them concurrently, one
-  // thread each driving that shard's own fork-join pool.
-  std::vector<std::thread> drivers;
-  drivers.reserve(shards_.size());
-  for (const std::unique_ptr<session_manager>& sh : shards_) {
-    drivers.emplace_back([&sh] { sh->drain(); });
-  }
-  for (std::thread& t : drivers) {
-    t.join();
-  }
+  // Guard before starting anything: a drain() on a live stream would
+  // otherwise silently stop it.
+  expects(!streaming(),
+          "shard_manager: drain() must not run while streaming workers "
+          "are live — call stop() first");
+  // Start every shard before stopping any, so shards drain concurrently.
+  start(config_.worker_threads);
+  stop();
 }
 
 void shard_manager::start(std::size_t workers_per_shard) {
@@ -154,13 +166,8 @@ bool shard_manager::streaming() const {
 }
 
 void shard_manager::finish() {
-  if (streaming()) {
-    close_all();
-    stop();
-    drain();
-    return;
-  }
   close_all();
+  stop();
   drain();
 }
 
@@ -207,20 +214,24 @@ std::vector<std::vector<std::uint64_t>> shard_manager::global_ids() const {
 }
 
 serve_totals shard_manager::aggregate() const {
+  std::vector<serve_totals> per_shard;
+  per_shard.reserve(shards_.size());
+  for (const std::unique_ptr<session_manager>& sh : shards_) {
+    per_shard.push_back(sh->aggregate());
+  }
   const std::vector<std::vector<std::uint64_t>> to_global = global_ids();
   serve_totals totals;
   totals.stats = session_stats{config_.latency_bins};
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const serve_totals t = shards_[i]->aggregate();
+    const serve_totals& t = per_shard[i];
     totals.stats.merge(t.stats);
     totals.num_sessions += t.num_sessions;
     totals.sessions_with_attack_events += t.sessions_with_attack_events;
     totals.sessions_degraded += t.sessions_degraded;
     totals.sessions_recovering += t.sessions_recovering;
     totals.sessions_quarantined += t.sessions_quarantined;
-    for (const auto& [local, err] : t.quarantine_errors) {
-      totals.quarantine_errors.emplace_back(to_global[i][local], err);
-    }
+    append_global(to_global[i], t.quarantine_errors,
+                  totals.quarantine_errors);
   }
   return totals;
 }
@@ -248,7 +259,8 @@ shard_balance shard_manager::balance() const {
     offers = offers_;
     kills = shard_kills_;
   }
-  const std::vector<std::vector<std::uint64_t>> to_global = global_ids();
+  std::vector<std::vector<std::pair<std::uint64_t, std::string>>> parked;
+  parked.reserve(shards_.size());
   std::size_t total = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shard_load load;
@@ -259,12 +271,8 @@ shard_balance shard_manager::balance() const {
     load.rehydrations = e.rehydrations;
     load.offers = offers[i];
     load.shard_kills = kills[i];
-    const std::vector<std::pair<std::uint64_t, std::string>> parked =
-        shards_[i]->quarantine_errors();
-    load.quarantined = parked.size();
-    for (const auto& [local, err] : parked) {
-      out.quarantine_errors.emplace_back(to_global[i][local], err);
-    }
+    parked.push_back(shards_[i]->quarantine_errors());
+    load.quarantined = parked.back().size();
     if (i == 0 || load.sessions < out.min_sessions) {
       out.min_sessions = load.sessions;
     }
@@ -273,6 +281,10 @@ shard_balance shard_manager::balance() const {
     }
     total += load.sessions;
     out.shards.push_back(load);
+  }
+  const std::vector<std::vector<std::uint64_t>> to_global = global_ids();
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    append_global(to_global[i], parked[i], out.quarantine_errors);
   }
   out.mean_sessions = shards_.empty()
                           ? 0.0

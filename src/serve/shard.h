@@ -1,7 +1,7 @@
 // Sharded serving front: session ids hashed across M independent
 // session_manager shards.
 //
-// One session_manager scales to a worker pool, but its scheduler state
+// One session_manager scales to many workers, but its scheduler state
 // (ready-queue, session table, eviction heap) is one lock domain — at
 // fleet scale the front needs to PARTITION, not just parallelize. The
 // shard_manager keeps the session_manager untouched and puts a thin
@@ -16,8 +16,8 @@
 // session lives entirely on one shard, sessions never interact, and
 // each shard preserves the exclusive-claim FIFO drain — so per-session
 // verdict/outcome streams are bit-identical at ANY shard count, worker
-// count, drain discipline, and eviction schedule. The shard test pins
-// exactly that.
+// count, start/stop/drain() schedule, and eviction schedule. The shard
+// test pins exactly that.
 //
 // shard_kill fault: when the shared fault_config's shard_kill_rate is
 // set (or a pinned schedule entry names a shard), the front
@@ -64,7 +64,7 @@ struct shard_balance {
 
 class shard_manager {
  public:
-  // `config` applies to every shard (worker pool, residency bound and
+  // `config` applies to every shard (worker count, residency bound and
   // fault injector are PER SHARD). `num_shards` >= 1.
   shard_manager(defense::classifier_detector detector, serve_config config,
                 std::size_t num_shards);
@@ -100,16 +100,19 @@ class shard_manager {
   void close(std::uint64_t id);
   void close_all();
 
-  // Fork-join drain, all shards concurrently (each uses its own pool).
+  // Run until idle on every shard: start(config().worker_threads) then
+  // stop(), so the shards drain concurrently on their own workers.
+  // Throws std::invalid_argument while streaming — call stop() instead.
   void drain();
 
-  // Streaming: starts `workers_per_shard` long-lived workers on EVERY
-  // shard (0 = each shard's default) — total workers = M x per-shard.
+  // Starts `workers_per_shard` long-lived workers on EVERY shard (0 =
+  // config().worker_threads) — total workers = M x per-shard.
   void start(std::size_t workers_per_shard = 0);
   void stop();
   bool streaming() const;
 
-  // close_all + flush on every shard.
+  // close_all + flush on every shard, then stops: close_all(); stop();
+  // drain().
   void finish();
 
   bool reopen(std::uint64_t id);
@@ -140,10 +143,11 @@ class shard_manager {
   };
 
   route route_of(std::uint64_t id) const IVC_EXCLUDES(routes_mutex_);
-  std::uint64_t open_routed(std::uint64_t* shard_out)
-      IVC_EXCLUDES(routes_mutex_);
   // Per-shard local-id -> global-id tables (one routes_ scan; local ids
-  // are dense in open order, so the tables build by append).
+  // are dense in open order, so the tables build by append). Build them
+  // AFTER reading the shards: open_session holds routes_mutex_ across
+  // the shard open, so every local id a shard reported is routed by
+  // then.
   std::vector<std::vector<std::uint64_t>> global_ids() const
       IVC_EXCLUDES(routes_mutex_);
 

@@ -473,6 +473,55 @@ TEST(fault_containment, reopen_is_a_noop_on_non_quarantined_sessions) {
   EXPECT_EQ(manager.eviction().rehydrations, 0u);
 }
 
+// The remaining reopen() path: an EVICTED quarantined session. reopen()
+// reads the freeze-time state, rehydrates the session exactly once, and
+// service resumes through the backoff like a resident reopen.
+TEST(fault_containment, reopen_rehydrates_an_evicted_quarantined_session) {
+  serve_config cfg = fleet_config();
+  cfg.worker_threads = 1;
+  cfg.fault_tolerance.auto_reopen = false;
+  cfg.fault_tolerance.backoff_blocks = 2;
+  fault_config fc;
+  fc.schedule.push_back({fault_kind::detector_throw, /*session=*/0,
+                         /*index=*/0});
+  cfg.faults = std::make_shared<fault_injector>(fc);
+
+  session_manager manager{tiny_detector(), cfg};
+  const std::uint64_t sid = manager.open_session();
+  manager.offer(sid, audio::silence(0.2, kRate));
+  manager.drain();  // block 0 faults; no auto-reopen → parked
+  ASSERT_EQ(manager.session(sid).state(), session_state::quarantined);
+  ASSERT_TRUE(manager.evict(sid));
+  ASSERT_FALSE(manager.resident(sid));
+  EXPECT_EQ(manager.quarantine_errors().size(), 1u);
+
+  EXPECT_TRUE(manager.reopen(sid));
+  EXPECT_TRUE(manager.resident(sid));
+  EXPECT_EQ(manager.eviction().rehydrations, 1u);
+  EXPECT_EQ(manager.session(sid).state(), session_state::recovering);
+
+  const audio::buffer speech = command_stream(903);
+  const std::size_t block = 4'096;
+  for (std::size_t start = 0; start < speech.size(); start += block) {
+    const std::size_t end = std::min(start + block, speech.size());
+    EXPECT_EQ(manager.offer(
+                  sid, audio::buffer{{speech.samples.begin() +
+                                          static_cast<std::ptrdiff_t>(start),
+                                      speech.samples.begin() +
+                                          static_cast<std::ptrdiff_t>(end)},
+                                     kRate}),
+              offer_status::accepted);
+  }
+  manager.finish();
+  const session_stats st = manager.stats(sid);
+  EXPECT_EQ(manager.session(sid).state(), session_state::serving);
+  EXPECT_EQ(st.reopens, 1u);
+  EXPECT_EQ(st.blocks_dropped_backoff, 2u);
+  EXPECT_GT(st.blocks_processed, 0u);
+  EXPECT_GT(manager.verdicts(sid).size(), 0u);
+  EXPECT_EQ(manager.eviction().rehydrations, 1u);
+}
+
 TEST(fault_containment, force_quarantine_parks_without_reset) {
   serve_config cfg = fleet_config();
   session_manager manager{tiny_detector(), cfg};

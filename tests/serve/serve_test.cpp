@@ -501,5 +501,92 @@ TEST(serve, finish_on_never_offered_session_flushes_once) {
   EXPECT_EQ(manager.session(sid).state(), session_state::serving);
 }
 
+// ---- the drain() contract ---------------------------------------------
+
+TEST(serve, drain_throws_while_streaming) {
+  serve_config cfg;
+  cfg.worker_threads = 1;
+  session_manager manager{tiny_detector(), cfg};
+  const std::uint64_t sid = manager.open_session();
+  manager.start(2);
+  EXPECT_THROW(manager.drain(), std::invalid_argument);
+  // The refused drain() left the live stream running.
+  EXPECT_TRUE(manager.streaming());
+  EXPECT_EQ(manager.offer(sid, session_stream(31)), offer_status::accepted);
+  manager.stop();
+  EXPECT_EQ(manager.stats(sid).blocks_processed, 1u);
+}
+
+TEST(serve, drain_leaves_the_manager_not_streaming) {
+  serve_config cfg;
+  cfg.worker_threads = 2;
+  session_manager manager{tiny_detector(), cfg};
+  const std::uint64_t sid = manager.open_session();
+  manager.offer(sid, session_stream(32));
+  manager.drain();
+  EXPECT_FALSE(manager.streaming());
+  EXPECT_EQ(manager.stats(sid).blocks_processed, 1u);
+  manager.drain();  // nothing queued: still a clean run-until-idle
+  EXPECT_FALSE(manager.streaming());
+}
+
+// A 4-worker drain() scores every queued block of every session and runs
+// each close() flush exactly once: the streams equal a single-threaded
+// process() of the same blocks, and a second drain() changes nothing.
+TEST(serve, four_worker_drain_scores_every_block_and_flushes_once) {
+  serve_config cfg;
+  cfg.queue_capacity = 256;
+  cfg.worker_threads = 4;
+  constexpr std::size_t kSessions = 8;
+  constexpr std::size_t kBlock = 1'024;
+  session_manager manager{tiny_detector(), cfg};
+  std::vector<std::size_t> blocks(kSessions, 0);
+  std::vector<std::vector<defense::stream_event>> reference;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    const std::uint64_t sid = manager.open_session();
+    detection_session serial{sid, tiny_detector(), cfg};
+    const audio::buffer stream = session_stream(600 + s);
+    for (std::size_t start = 0; start < stream.size(); start += kBlock) {
+      const std::size_t end = std::min(start + kBlock, stream.size());
+      const audio::buffer piece{
+          {stream.samples.begin() + static_cast<std::ptrdiff_t>(start),
+           stream.samples.begin() + static_cast<std::ptrdiff_t>(end)},
+          stream.sample_rate_hz};
+      ASSERT_EQ(manager.offer(sid, piece), offer_status::accepted);
+      ASSERT_EQ(serial.offer(piece), offer_status::accepted);
+      ++blocks[s];
+    }
+    serial.process();
+    const std::size_t before_flush = serial.verdicts().size();
+    serial.close();
+    serial.process();
+    reference.push_back(serial.verdicts());
+    // The flush is observable: it adds the partial tail window.
+    ASSERT_GT(reference.back().size(), before_flush) << "session " << s;
+  }
+  manager.close_all();
+  manager.drain();
+  EXPECT_FALSE(manager.streaming());
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    const session_stats st = manager.stats(s);
+    EXPECT_EQ(st.blocks_processed, blocks[s]) << "session " << s;
+    EXPECT_EQ(st.latency.count(), blocks[s]) << "session " << s;
+    EXPECT_FALSE(manager.session(s).has_work()) << "session " << s;
+    const std::vector<defense::stream_event> v = manager.verdicts(s);
+    ASSERT_EQ(v.size(), reference[s].size()) << "session " << s;
+    ASSERT_FALSE(v.empty()) << "session " << s;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      EXPECT_EQ(v[i].time_s, reference[s][i].time_s);
+      EXPECT_EQ(v[i].score, reference[s][i].score);
+      EXPECT_EQ(v[i].is_attack, reference[s][i].is_attack);
+    }
+  }
+  manager.drain();
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    EXPECT_EQ(manager.verdicts(s).size(), reference[s].size())
+        << "session " << s;
+  }
+}
+
 }  // namespace
 }  // namespace ivc::serve

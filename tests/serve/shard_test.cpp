@@ -393,5 +393,86 @@ TEST(shard, front_validates_inputs) {
   EXPECT_EQ(front.verdicts(id).size(), 0u);
 }
 
+// A session opened on shard(i) directly has a local id the front never
+// routed. Once it parks, the fleet views must refuse to map it to a
+// global id instead of reading past the routing table.
+TEST(shard, fleet_views_reject_an_unrouted_quarantined_session) {
+  serve_config cfg;
+  cfg.worker_threads = 1;
+  shard_manager front{tiny_detector(), cfg, 2};
+  for (int s = 0; s < 4; ++s) {
+    front.open_session();
+  }
+  const std::uint64_t local = front.shard(0).num_sessions();
+  serve_config parked = cfg;
+  parked.fault_tolerance.auto_reopen = false;
+  fault_config fc;
+  fc.schedule.push_back({fault_kind::corrupt_block, local, /*index=*/0});
+  parked.faults = std::make_shared<fault_injector>(fc);
+  ASSERT_EQ(front.shard(0).open_session(parked), local);
+  front.shard(0).offer(local, audio::silence(0.1, kRate));
+  front.drain();
+  ASSERT_EQ(front.shard(0).quarantine_errors().size(), 1u);
+  EXPECT_THROW(front.aggregate(), std::invalid_argument);
+  EXPECT_THROW(front.balance(), std::invalid_argument);
+}
+
+// ---- the drain() contract ---------------------------------------------
+
+TEST(shard, drain_throws_while_streaming) {
+  serve_config cfg;
+  cfg.worker_threads = 1;
+  shard_manager front{tiny_detector(), cfg, 2};
+  const std::uint64_t id = front.open_session();
+  front.start(1);
+  EXPECT_THROW(front.drain(), std::invalid_argument);
+  // The refused drain() left every shard streaming.
+  EXPECT_TRUE(front.shard(0).streaming());
+  EXPECT_TRUE(front.shard(1).streaming());
+  EXPECT_EQ(front.offer(id, command_stream(700)), offer_status::accepted);
+  front.stop();
+  EXPECT_FALSE(front.streaming());
+  EXPECT_EQ(front.stats(id).blocks_processed, 1u);
+}
+
+TEST(shard, four_worker_drain_scores_every_block_and_flushes_once) {
+  serve_config cfg;
+  cfg.queue_capacity = 256;
+  cfg.worker_threads = 4;
+  constexpr std::size_t kSessions = 6;
+  constexpr std::size_t kBlock = 2'048;
+  shard_manager front{tiny_detector(), cfg, 2};
+  std::vector<std::size_t> blocks(kSessions, 0);
+  std::vector<std::vector<defense::stream_event>> reference;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    const std::uint64_t id = front.open_session();
+    detection_session serial{id, tiny_detector(), cfg};
+    const audio::buffer stream = command_stream(710 + s);
+    for (std::size_t start = 0; start < stream.size(); start += kBlock) {
+      const audio::buffer piece =
+          cut(stream, start, std::min(start + kBlock, stream.size()));
+      ASSERT_EQ(front.offer(id, piece), offer_status::accepted);
+      ASSERT_EQ(serial.offer(piece), offer_status::accepted);
+      ++blocks[s];
+    }
+    serial.close();
+    serial.process();
+    reference.push_back(serial.verdicts());
+  }
+  front.close_all();
+  front.drain();
+  EXPECT_FALSE(front.streaming());
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    EXPECT_EQ(front.stats(s).blocks_processed, blocks[s]) << "session " << s;
+    expect_same_verdicts(front.verdicts(s), reference[s],
+                         "session " + std::to_string(s));
+  }
+  front.drain();
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    EXPECT_EQ(front.verdicts(s).size(), reference[s].size())
+        << "session " << s;
+  }
+}
+
 }  // namespace
 }  // namespace ivc::serve

@@ -247,7 +247,7 @@ TEST(snapshot, intent_engine_arm_state_rides_through) {
 // Drains a session completely (single consumer, direct process calls).
 void drain_session(detection_session& s) {
   while (s.has_work()) {
-    s.process(0);
+    s.process();
   }
 }
 
@@ -264,7 +264,7 @@ TEST(snapshot, session_evict_rehydrate_is_bit_identical) {
   for (std::size_t start = 0; start < stream.size(); start += 4096) {
     const std::size_t end = std::min(start + 4096, stream.size());
     ASSERT_EQ(ref->offer(cut(stream, start, end)), offer_status::accepted);
-    ref->process(0);
+    ref->process();
   }
   ref->close();
   drain_session(*ref);
@@ -293,7 +293,7 @@ TEST(snapshot, session_evict_rehydrate_is_bit_identical) {
       for (std::size_t start = 0; start < v.length; start += 4096) {
         const std::size_t end = std::min(start + 4096, v.length);
         prefix_ref->offer(cut(stream, start, end));
-        prefix_ref->process(0);
+        prefix_ref->process();
       }
       prefix_ref->close();
       drain_session(*prefix_ref);
@@ -307,7 +307,7 @@ TEST(snapshot, session_evict_rehydrate_is_bit_identical) {
       const std::size_t end = std::min(start + v.chunk, v.length);
       ASSERT_EQ(cur->offer(cut(stream, start, end)),
                 offer_status::accepted);
-      cur->process(0);
+      cur->process();
       if (++offers % v.snap_every == 0) {
         json::value snap;
         ASSERT_TRUE(cur->try_snapshot(snap));  // idle: must succeed
@@ -336,7 +336,7 @@ TEST(snapshot, try_snapshot_refuses_non_idle_sessions) {
   ASSERT_EQ(s.offer(cut(stream, 0, 4096)), offer_status::accepted);
   json::value snap;
   EXPECT_FALSE(s.try_snapshot(snap));
-  s.process(0);
+  s.process();
   EXPECT_TRUE(s.try_snapshot(snap));
 
   // A close() flush still owed blocks the snapshot too.
