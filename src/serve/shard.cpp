@@ -8,9 +8,8 @@ namespace ivc::serve {
 
 namespace {
 
-// splitmix64 finalizer — the same mixer the fault injector uses, so the
-// shard assignment is stable across platforms and sessions spread
-// uniformly even when ids are dense (0, 1, 2, ...).
+// splitmix64 finalizer — the same mixer the fault injector uses, so
+// placement is stable across platforms.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e37'79b9'7f4a'7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58'476d'1ce4'e5b9ULL;
@@ -18,76 +17,68 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// Maps shard-local (id, error) pairs to global ids through `to_global`
-// (one table of global_ids()). A local id the front never routed — a
-// session opened through shard(i) directly — is a caller bug.
-void append_global(
-    const std::vector<std::uint64_t>& to_global,
-    const std::vector<std::pair<std::uint64_t, std::string>>& local,
-    std::vector<std::pair<std::uint64_t, std::string>>& out) {
-  for (const auto& [id, err] : local) {
-    expects(id < to_global.size(),
-            "shard_manager: shard reports a session the front never "
-            "routed (opened through shard(i) directly?)");
-    out.emplace_back(to_global[id], err);
-  }
+// The placement rule of shard.h; the local id is id / m. Reduced mod m
+// term by term so the sum cannot wrap.
+std::size_t place(std::uint64_t id, std::size_t m) {
+  return static_cast<std::size_t>((id % m + mix64(id / m) % m) % m);
+}
+
+// Its inverse: the global id of `local` on `shard`.
+std::uint64_t unplace(std::size_t shard, std::uint64_t local, std::size_t m) {
+  return local * m + (shard + m - mix64(local) % m) % m;
 }
 
 }  // namespace
 
 shard_manager::shard_manager(defense::classifier_detector detector,
                              serve_config config, std::size_t num_shards)
-    : config_{config}, faults_{config.faults} {
+    : config_{config},
+      faults_{config.faults},
+      offers_(num_shards),
+      shard_kills_(num_shards) {
   expects(num_shards >= 1, "shard_manager: need at least one shard");
   shards_.reserve(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) {
     shards_.push_back(std::make_unique<session_manager>(detector, config));
   }
-  offers_.assign(num_shards, 0);
-  shard_kills_.assign(num_shards, 0);
 }
 
-shard_manager::route shard_manager::route_of(std::uint64_t id) const {
-  const ts_lock lock{routes_mutex_};
-  expects(id < routes_.size(), "shard_manager: unknown session id");
-  return routes_[id];
+template <typename Open>
+std::uint64_t shard_manager::open_routed(Open open) {
+  const ts_lock lock{open_mutex_};
+  const std::uint64_t id = count_.load();
+  const std::size_t m = shards_.size();
+  const std::uint64_t local = open(*shards_[place(id, m)]);
+  expects(local == id / m,
+          "shard_manager: shard local ids out of step with the front "
+          "(a session opened through shard(i) directly?)");
+  count_.store(id + 1);
+  return id;
 }
 
 std::uint64_t shard_manager::open_session() {
-  const ts_lock lock{routes_mutex_};
-  const auto id = static_cast<std::uint64_t>(routes_.size());
-  const auto sh = static_cast<std::uint32_t>(mix64(id) % shards_.size());
-  const std::uint64_t local = shards_[sh]->open_session();
-  routes_.push_back(route{sh, local});
-  return id;
+  return open_routed([](session_manager& sh) { return sh.open_session(); });
 }
 
 std::uint64_t shard_manager::open_session(const serve_config& config) {
-  const ts_lock lock{routes_mutex_};
-  const auto id = static_cast<std::uint64_t>(routes_.size());
-  const auto sh = static_cast<std::uint32_t>(mix64(id) % shards_.size());
-  const std::uint64_t local = shards_[sh]->open_session(config);
-  routes_.push_back(route{sh, local});
-  return id;
+  return open_routed(
+      [&config](session_manager& sh) { return sh.open_session(config); });
 }
 
 std::uint64_t shard_manager::open_session(
     std::shared_ptr<const serve_config> config) {
-  const ts_lock lock{routes_mutex_};
-  const auto id = static_cast<std::uint64_t>(routes_.size());
-  const auto sh = static_cast<std::uint32_t>(mix64(id) % shards_.size());
-  const std::uint64_t local = shards_[sh]->open_session(std::move(config));
-  routes_.push_back(route{sh, local});
-  return id;
+  return open_routed([&config](session_manager& sh) {
+    return sh.open_session(std::move(config));
+  });
 }
 
 std::size_t shard_manager::num_sessions() const {
-  const ts_lock lock{routes_mutex_};
-  return routes_.size();
+  return static_cast<std::size_t>(count_.load());
 }
 
 std::size_t shard_manager::shard_of(std::uint64_t id) const {
-  return route_of(id).shard;
+  expects(id < count_.load(), "shard_manager: unknown session id");
+  return place(id, shards_.size());
 }
 
 session_manager& shard_manager::shard(std::size_t i) {
@@ -101,30 +92,23 @@ const session_manager& shard_manager::shard(std::size_t i) const {
 }
 
 offer_status shard_manager::offer(std::uint64_t id, audio::buffer block) {
-  route r;
-  std::uint64_t offer_index = 0;
-  {
-    const ts_lock lock{routes_mutex_};
-    expects(id < routes_.size(), "shard_manager: unknown session id");
-    r = routes_[id];
-    offer_index = offers_[r.shard]++;
-  }
-  const offer_status status = shards_[r.shard]->offer(r.local, std::move(block));
+  const std::size_t sh = shard_of(id);
+  const std::uint64_t offer_index = offers_[sh].fetch_add(1);
+  const offer_status status =
+      shards_[sh]->offer(id / shards_.size(), std::move(block));
   // shard_kill draw AFTER delivery: the offered session has queued work
   // now, so it survives the kill resident — the rest of the shard's
   // idle sessions drop to their snapshots.
   if (faults_ != nullptr &&
-      faults_->fires(fault_kind::shard_kill, r.shard, offer_index)) {
-    shards_[r.shard]->evict_idle();
-    const ts_lock lock{routes_mutex_};
-    ++shard_kills_[r.shard];
+      faults_->fires(fault_kind::shard_kill, sh, offer_index)) {
+    shards_[sh]->evict_idle();
+    ++shard_kills_[sh];
   }
   return status;
 }
 
 void shard_manager::close(std::uint64_t id) {
-  const route r = route_of(id);
-  shards_[r.shard]->close(r.local);
+  shards_[shard_of(id)]->close(id / shards_.size());
 }
 
 void shard_manager::close_all() {
@@ -172,45 +156,44 @@ void shard_manager::finish() {
 }
 
 bool shard_manager::reopen(std::uint64_t id) {
-  const route r = route_of(id);
-  return shards_[r.shard]->reopen(r.local);
+  return shards_[shard_of(id)]->reopen(id / shards_.size());
 }
 
 bool shard_manager::resident(std::uint64_t id) const {
-  const route r = route_of(id);
-  return shards_[r.shard]->resident(r.local);
+  return shards_[shard_of(id)]->resident(id / shards_.size());
 }
 
 std::vector<defense::stream_event> shard_manager::verdicts(
     std::uint64_t id) const {
-  const route r = route_of(id);
-  return shards_[r.shard]->verdicts(r.local);
+  return shards_[shard_of(id)]->verdicts(id / shards_.size());
 }
 
 std::vector<command_outcome> shard_manager::outcomes(std::uint64_t id) const {
-  const route r = route_of(id);
-  return shards_[r.shard]->outcomes(r.local);
+  return shards_[shard_of(id)]->outcomes(id / shards_.size());
 }
 
 session_stats shard_manager::stats(std::uint64_t id) const {
-  const route r = route_of(id);
-  return shards_[r.shard]->stats(r.local);
+  return shards_[shard_of(id)]->stats(id / shards_.size());
 }
 
 std::vector<obs::span> shard_manager::trace(std::uint64_t id) const {
-  const route r = route_of(id);
-  return shards_[r.shard]->trace(r.local);
+  return shards_[shard_of(id)]->trace(id / shards_.size());
 }
 
-std::vector<std::vector<std::uint64_t>> shard_manager::global_ids() const {
-  std::vector<std::vector<std::uint64_t>> to_global(shards_.size());
-  const ts_lock lock{routes_mutex_};
-  for (std::uint64_t gid = 0; gid < routes_.size(); ++gid) {
-    // open_session hands out local ids densely in global-id order, so
-    // this scan appends each shard's table already in local-id order.
-    to_global[routes_[gid].shard].push_back(gid);
+void shard_manager::append_global(
+    std::size_t shard,
+    const std::vector<std::pair<std::uint64_t, std::string>>& local,
+    std::vector<std::pair<std::uint64_t, std::string>>& out) const {
+  // Read the count after the shard: a routed session is counted before
+  // its id is handed out, so before it can ever park.
+  const std::uint64_t n = count_.load();
+  for (const auto& [id, err] : local) {
+    const std::uint64_t gid = unplace(shard, id, shards_.size());
+    expects(gid < n,
+            "shard_manager: shard reports a session the front never "
+            "opened (opened through shard(i) directly?)");
+    out.emplace_back(gid, err);
   }
-  return to_global;
 }
 
 serve_totals shard_manager::aggregate() const {
@@ -219,7 +202,6 @@ serve_totals shard_manager::aggregate() const {
   for (const std::unique_ptr<session_manager>& sh : shards_) {
     per_shard.push_back(sh->aggregate());
   }
-  const std::vector<std::vector<std::uint64_t>> to_global = global_ids();
   serve_totals totals;
   totals.stats = session_stats{config_.latency_bins};
   for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -230,8 +212,7 @@ serve_totals shard_manager::aggregate() const {
     totals.sessions_degraded += t.sessions_degraded;
     totals.sessions_recovering += t.sessions_recovering;
     totals.sessions_quarantined += t.sessions_quarantined;
-    append_global(to_global[i], t.quarantine_errors,
-                  totals.quarantine_errors);
+    append_global(i, t.quarantine_errors, totals.quarantine_errors);
   }
   return totals;
 }
@@ -252,15 +233,6 @@ eviction_stats shard_manager::eviction() const {
 shard_balance shard_manager::balance() const {
   shard_balance out;
   out.shards.reserve(shards_.size());
-  std::vector<std::uint64_t> offers;
-  std::vector<std::uint64_t> kills;
-  {
-    const ts_lock lock{routes_mutex_};
-    offers = offers_;
-    kills = shard_kills_;
-  }
-  std::vector<std::vector<std::pair<std::uint64_t, std::string>>> parked;
-  parked.reserve(shards_.size());
   std::size_t total = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shard_load load;
@@ -269,10 +241,12 @@ shard_balance shard_manager::balance() const {
     load.resident = e.resident;
     load.evictions = e.evictions;
     load.rehydrations = e.rehydrations;
-    load.offers = offers[i];
-    load.shard_kills = kills[i];
-    parked.push_back(shards_[i]->quarantine_errors());
-    load.quarantined = parked.back().size();
+    load.offers = offers_[i].load();
+    load.shard_kills = shard_kills_[i].load();
+    const std::vector<std::pair<std::uint64_t, std::string>> parked =
+        shards_[i]->quarantine_errors();
+    load.quarantined = parked.size();
+    append_global(i, parked, out.quarantine_errors);
     if (i == 0 || load.sessions < out.min_sessions) {
       out.min_sessions = load.sessions;
     }
@@ -281,10 +255,6 @@ shard_balance shard_manager::balance() const {
     }
     total += load.sessions;
     out.shards.push_back(load);
-  }
-  const std::vector<std::vector<std::uint64_t>> to_global = global_ids();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    append_global(to_global[i], parked[i], out.quarantine_errors);
   }
   out.mean_sessions = shards_.empty()
                           ? 0.0

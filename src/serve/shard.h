@@ -1,16 +1,24 @@
-// Sharded serving front: session ids hashed across M independent
-// session_manager shards.
+// Sharded serving front: global session ids placed across M independent
+// session_manager shards by a pure function of the id.
 //
 // One session_manager scales to many workers, but its scheduler state
 // (ready-queue, session table, eviction heap) is one lock domain — at
 // fleet scale the front needs to PARTITION, not just parallelize. The
 // shard_manager keeps the session_manager untouched and puts a thin
-// router in front: a global session id hashes (splitmix64, the same
-// mixer the fault injector uses) onto one of M shards, each a complete
-// session_manager with its own workers, ready-queue, residency bound,
-// and histograms. Shards share the detector weights and (optionally)
-// one serve_config object, nothing else — no cross-shard locks on the
-// offer path.
+// router in front. Placement needs no table: ids come in blocks of M
+// consecutive ids, and block b = id / M holds local id b on EVERY
+// shard, in an order rotated by splitmix64 (the fault injector's mixer):
+//
+//   shard(id) = (id + splitmix64(id / M)) mod M,   local(id) = id / M
+//   global(shard, local) = local*M + (shard - splitmix64(local)) mod M
+//
+// so per-shard session counts differ by at most 1, and any thread maps
+// an id to its (shard, local) pair without shared state. Each shard is a
+// complete session_manager with its own workers, ready-queue, residency
+// bound, and histograms. Shards share the detector weights and
+// (optionally) one serve_config object, nothing else. The front's only
+// lock serializes open_session(), which keeps every shard's local ids in
+// step with the global count; the offer path reads atomics only.
 //
 // The determinism contract survives sharding by construction: a
 // session lives entirely on one shard, sessions never interact, and
@@ -30,6 +38,7 @@
 // checks.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -58,7 +67,7 @@ struct shard_balance {
   double mean_sessions = 0.0;
   // (GLOBAL session id, last_error()) of every quarantined session in
   // the fleet — the shard-local ids from each session_manager are
-  // mapped back through the routing table.
+  // mapped back by the placement inverse.
   std::vector<std::pair<std::uint64_t, std::string>> quarantine_errors;
 };
 
@@ -72,10 +81,11 @@ class shard_manager {
   std::size_t num_shards() const { return shards_.size(); }
   const serve_config& config() const { return config_; }
 
-  // Opens a session and returns its GLOBAL id (dense, starting at 0).
-  // The id is hashed onto a shard; the mapping is fixed for the
-  // session's lifetime. Same overloads as session_manager — the shared-
-  // config form is what a million-session fleet uses.
+  // Opens a session and returns its GLOBAL id (dense, starting at 0),
+  // placed by the rule above. Same overloads as session_manager — the
+  // shared-config form is what a million-session fleet uses. Throws
+  // std::invalid_argument if the target shard's next local id is not
+  // id / M, i.e. a session was opened through shard(i) directly.
   std::uint64_t open_session();
   std::uint64_t open_session(const serve_config& config);
   std::uint64_t open_session(std::shared_ptr<const serve_config> config);
@@ -87,7 +97,9 @@ class shard_manager {
   std::size_t shard_of(std::uint64_t id) const;
 
   // The shard fronts themselves, for drills that poke one shard (the
-  // chaos bench kills shard i directly via shard(i).evict_idle()).
+  // chaos bench kills shard i directly via shard(i).evict_idle()). A
+  // session opened here directly has no global id: later routed opens
+  // on that shard throw, and aggregate()/balance() throw once it parks.
   session_manager& shard(std::size_t i);
   const session_manager& shard(std::size_t i) const;
 
@@ -133,37 +145,33 @@ class shard_manager {
   // Eviction counters summed across shards.
   eviction_stats eviction() const;
 
-  // Per-shard load plus the session spread (the hash-balance check).
+  // Per-shard load plus the session spread (the placement-balance check).
   shard_balance balance() const;
 
  private:
-  struct route {
-    std::uint32_t shard = 0;
-    std::uint64_t local = 0;  // id inside the shard's session_manager
-  };
-
-  route route_of(std::uint64_t id) const IVC_EXCLUDES(routes_mutex_);
-  // Per-shard local-id -> global-id tables (one routes_ scan; local ids
-  // are dense in open order, so the tables build by append). Build them
-  // AFTER reading the shards: open_session holds routes_mutex_ across
-  // the shard open, so every local id a shard reported is routed by
-  // then.
-  std::vector<std::vector<std::uint64_t>> global_ids() const
-      IVC_EXCLUDES(routes_mutex_);
+  // The one open_session body: `open` performs the shard-local open on
+  // the shard that owns the next global id.
+  template <typename Open>
+  std::uint64_t open_routed(Open open) IVC_EXCLUDES(open_mutex_);
+  // Appends shard `shard`'s (local id, error) pairs with global ids;
+  // throws for a local id the front never opened.
+  void append_global(
+      std::size_t shard,
+      const std::vector<std::pair<std::uint64_t, std::string>>& local,
+      std::vector<std::pair<std::uint64_t, std::string>>& out) const;
 
   // shards_, faults_, config_ are immutable after construction — shared
-  // reads need no lock; only the routing table and counters mutate.
+  // reads need no lock.
   serve_config config_;
   std::vector<std::unique_ptr<session_manager>> shards_;
   std::shared_ptr<const fault_injector> faults_;
 
-  mutable ts_mutex routes_mutex_;
-  // global id -> (shard, local id)
-  std::vector<route> routes_ IVC_GUARDED_BY(routes_mutex_);
-  // per-shard offer counters
-  std::vector<std::uint64_t> offers_ IVC_GUARDED_BY(routes_mutex_);
-  // per-shard kill counts
-  std::vector<std::uint64_t> shard_kills_ IVC_GUARDED_BY(routes_mutex_);
+  // Serializes open_session so shard-local ids stay in step with count_;
+  // published after the shard open, so an id below count_ is placed.
+  ts_mutex open_mutex_;
+  std::atomic<std::uint64_t> count_{0};
+  std::vector<std::atomic<std::uint64_t>> offers_;       // per shard
+  std::vector<std::atomic<std::uint64_t>> shard_kills_;  // per shard
 };
 
 }  // namespace ivc::serve

@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "audio/buffer.h"
@@ -270,6 +272,77 @@ TEST(shard, placement_is_stable_and_roughly_balanced) {
     via_shards += front.shard(i).num_sessions();
   }
   EXPECT_EQ(via_shards, 256u);
+}
+
+// Placement is a pure function of (id, M): every block of M consecutive
+// ids covers all M shards, the offer counter that rises is the one of
+// shard_of(id), and concurrent openers still get dense ids.
+TEST(shard, placement_is_a_pure_function_of_the_id) {
+  constexpr std::uint64_t kSessions = 64;
+  serve_config cfg;
+  for (std::size_t m = 1; m <= 4; ++m) {
+    SCOPED_TRACE("shards " + std::to_string(m));
+    shard_manager front{tiny_detector(), cfg, m};
+    for (std::uint64_t n = 1; n <= kSessions; ++n) {
+      front.open_session();
+      const shard_balance b = front.balance();
+      ASSERT_LE(b.max_sessions - b.min_sessions, 1u) << "n " << n;
+    }
+
+    for (std::uint64_t id = 0; id < kSessions; ++id) {
+      const std::size_t owner = front.shard_of(id);
+      const shard_balance before = front.balance();
+      ASSERT_EQ(front.offer(id, audio::silence(0.01, kRate)),
+                offer_status::accepted);
+      const shard_balance after = front.balance();
+      for (std::size_t i = 0; i < m; ++i) {
+        EXPECT_EQ(after.shards[i].offers - before.shards[i].offers,
+                  i == owner ? 1u : 0u)
+            << "id " << id << " shard " << i;
+      }
+    }
+
+    shard_manager concurrent{tiny_detector(), cfg, m};
+    std::vector<std::vector<std::uint64_t>> got(4);
+    std::vector<std::thread> openers;
+    for (std::vector<std::uint64_t>& ids : got) {
+      openers.emplace_back([&concurrent, &ids] {
+        for (std::uint64_t s = 0; s < kSessions / 4; ++s) {
+          ids.push_back(concurrent.open_session());
+        }
+      });
+    }
+    for (std::thread& t : openers) {
+      t.join();
+    }
+    std::vector<std::uint64_t> all;
+    for (const std::vector<std::uint64_t>& ids : got) {
+      all.insert(all.end(), ids.begin(), ids.end());
+    }
+    std::sort(all.begin(), all.end());
+    std::vector<std::uint64_t> dense(kSessions);
+    std::iota(dense.begin(), dense.end(), 0);
+    EXPECT_EQ(all, dense);
+    for (std::uint64_t id = 0; id < kSessions; ++id) {
+      EXPECT_EQ(concurrent.shard_of(id), front.shard_of(id)) << "id " << id;
+    }
+  }
+}
+
+// A session opened on shard(i) directly takes the local id the next
+// routed open on that shard needs. That open must refuse instead of
+// handing out a global id that maps to the direct session.
+TEST(shard, routed_open_after_a_direct_shard_open_throws) {
+  serve_config cfg;
+  shard_manager front{tiny_detector(), cfg, 2};
+  front.shard(0).open_session();
+  // Ids 0 and 1 form one placement block, so one of them lands on shard 0.
+  EXPECT_THROW(
+      {
+        front.open_session();
+        front.open_session();
+      },
+      std::invalid_argument);
 }
 
 // ---- shard_kill faults -----------------------------------------------
