@@ -208,6 +208,8 @@ struct session_stats {
 
 class detection_session {
  public:
+  // `id` keys the session's fault draws and quarantine dumps: the
+  // owning manager's slot index, or the shard front's global id.
   detection_session(std::uint64_t id, defense::classifier_detector detector,
                     const serve_config& config);
 

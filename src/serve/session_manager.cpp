@@ -37,12 +37,13 @@ session_manager::~session_manager() { stop(); }
 
 std::uint64_t session_manager::open_session() {
   const ts_lock lock{sessions_mutex_};
-  return open_slot(nullptr, config_);
+  return open_slot(nullptr, config_, std::nullopt);
 }
 
 std::uint64_t session_manager::open_session(const serve_config& config) {
   const ts_lock lock{sessions_mutex_};
-  return open_slot(std::make_shared<const serve_config>(config), config);
+  return open_slot(std::make_shared<const serve_config>(config), config,
+                   std::nullopt);
 }
 
 std::uint64_t session_manager::open_session(
@@ -50,17 +51,26 @@ std::uint64_t session_manager::open_session(
   expects(config != nullptr, "session_manager: null shared config");
   const ts_lock lock{sessions_mutex_};
   const serve_config& effective = *config;
-  return open_slot(std::move(config), effective);
+  return open_slot(std::move(config), effective, std::nullopt);
+}
+
+std::uint64_t session_manager::open_keyed(
+    std::uint64_t key, std::shared_ptr<const serve_config> config) {
+  const ts_lock lock{sessions_mutex_};
+  const serve_config& effective = config != nullptr ? *config : config_;
+  return open_slot(std::move(config), effective, key);
 }
 
 std::uint64_t session_manager::open_slot(
-    std::shared_ptr<const serve_config> cfg, const serve_config& effective) {
+    std::shared_ptr<const serve_config> cfg, const serve_config& effective,
+    std::optional<std::uint64_t> key) {
   expects(effective.latency_bins == config_.latency_bins,
           "session_manager: a per-session config must keep the fleet's "
           "latency binning — aggregate() merges histograms config-checked");
   const auto id = static_cast<std::uint64_t>(slots_.size());
   slot sl;
-  sl.live = std::make_shared<detection_session>(id, detector_, effective);
+  sl.key = key.value_or(id);
+  sl.live = std::make_shared<detection_session>(sl.key, detector_, effective);
   sl.cfg = std::move(cfg);
   sl.touch = ++touch_counter_;
   slots_.push_back(std::move(sl));
@@ -109,7 +119,7 @@ const std::shared_ptr<detection_session>& session_manager::ensure_resident(
           "session_manager: slot has neither a live session nor a snapshot");
   const auto t0 = std::chrono::steady_clock::now();
   const serve_config& cfg = sl.cfg != nullptr ? *sl.cfg : config_;
-  auto s = std::make_shared<detection_session>(id, detector_, cfg);
+  auto s = std::make_shared<detection_session>(sl.key, detector_, cfg);
   s->restore(json::from_binary(sl.frozen));
   evic_.frozen_bytes -= sl.frozen.size();
   sl.frozen.clear();

@@ -52,6 +52,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <string>
 #include <thread>
@@ -226,6 +227,9 @@ class session_manager {
     // Per-session config override; null = the fleet config.
     std::shared_ptr<const serve_config> cfg;
     std::uint64_t touch = 0;  // last-offer stamp (LRU recency)
+    // The id the session's fault draws and quarantine dumps are keyed
+    // on: the slot index, or the shard front's global id.
+    std::uint64_t key = 0;
     // Snapshot was closed+flushed: close_all() need not rehydrate it.
     bool closed_hint = false;
     // State and last_error() at freeze time, cached so the fleet health
@@ -254,10 +258,20 @@ class session_manager {
     obs::histogram rehydrate_latency;
   };
 
+  // The shard front opens its sessions here, keyed on their GLOBAL id,
+  // so a sharded fleet draws the same stage faults and names the same
+  // sessions in quarantine dumps as an unsharded one. A null `config`
+  // means the fleet config.
+  friend class shard_manager;
+  std::uint64_t open_keyed(std::uint64_t key,
+                           std::shared_ptr<const serve_config> config)
+      IVC_EXCLUDES(sessions_mutex_);
+
   // The slot/eviction helpers run with sessions_mutex_ held — the
   // IVC_REQUIRES makes calling one without it a compile error.
   std::uint64_t open_slot(std::shared_ptr<const serve_config> cfg,
-                          const serve_config& effective)
+                          const serve_config& effective,
+                          std::optional<std::uint64_t> key)
       IVC_REQUIRES(sessions_mutex_) IVC_EXCLUDES(sched_mutex_);
   const std::shared_ptr<detection_session>& ensure_resident(std::uint64_t id)
       IVC_REQUIRES(sessions_mutex_);

@@ -43,12 +43,13 @@ shard_manager::shard_manager(defense::classifier_detector detector,
   }
 }
 
-template <typename Open>
-std::uint64_t shard_manager::open_routed(Open open) {
+std::uint64_t shard_manager::open_routed(
+    std::shared_ptr<const serve_config> config) {
   const ts_lock lock{open_mutex_};
   const std::uint64_t id = count_.load();
   const std::size_t m = shards_.size();
-  const std::uint64_t local = open(*shards_[place(id, m)]);
+  const std::uint64_t local =
+      shards_[place(id, m)]->open_keyed(id, std::move(config));
   expects(local == id / m,
           "shard_manager: shard local ids out of step with the front "
           "(a session opened through shard(i) directly?)");
@@ -56,20 +57,16 @@ std::uint64_t shard_manager::open_routed(Open open) {
   return id;
 }
 
-std::uint64_t shard_manager::open_session() {
-  return open_routed([](session_manager& sh) { return sh.open_session(); });
-}
+std::uint64_t shard_manager::open_session() { return open_routed(nullptr); }
 
 std::uint64_t shard_manager::open_session(const serve_config& config) {
-  return open_routed(
-      [&config](session_manager& sh) { return sh.open_session(config); });
+  return open_routed(std::make_shared<const serve_config>(config));
 }
 
 std::uint64_t shard_manager::open_session(
     std::shared_ptr<const serve_config> config) {
-  return open_routed([&config](session_manager& sh) {
-    return sh.open_session(std::move(config));
-  });
+  expects(config != nullptr, "shard_manager: null shared config");
+  return open_routed(std::move(config));
 }
 
 std::size_t shard_manager::num_sessions() const {

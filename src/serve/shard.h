@@ -83,7 +83,9 @@ class shard_manager {
 
   // Opens a session and returns its GLOBAL id (dense, starting at 0),
   // placed by the rule above. Same overloads as session_manager — the
-  // shared-config form is what a million-session fleet uses. Throws
+  // shared-config form is what a million-session fleet uses. The
+  // session's stage-fault draws and quarantine dumps are keyed on the
+  // global id, so they match an unsharded fleet's at any M. Throws
   // std::invalid_argument if the target shard's next local id is not
   // id / M, i.e. a session was opened through shard(i) directly.
   std::uint64_t open_session();
@@ -149,10 +151,10 @@ class shard_manager {
   shard_balance balance() const;
 
  private:
-  // The one open_session body: `open` performs the shard-local open on
-  // the shard that owns the next global id.
-  template <typename Open>
-  std::uint64_t open_routed(Open open) IVC_EXCLUDES(open_mutex_);
+  // The one open_session body: opens the next global id on the shard
+  // that owns it, with `config` (null = the fleet config).
+  std::uint64_t open_routed(std::shared_ptr<const serve_config> config)
+      IVC_EXCLUDES(open_mutex_);
   // Appends shard `shard`'s (local id, error) pairs with global ids;
   // throws for a local id the front never opened.
   void append_global(

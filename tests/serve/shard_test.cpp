@@ -19,7 +19,9 @@
 #include "audio/buffer.h"
 #include "audio/ops.h"
 #include "common/rng.h"
+#include "common/sync.h"
 #include "defense/classifier.h"
+#include "obs/trace.h"
 #include "serve/shard.h"
 #include "sim/scenario.h"
 #include "synth/commands.h"
@@ -122,6 +124,28 @@ struct fleet_params {
   bool streaming = false;            // fork-join otherwise
   std::size_t max_resident = 0;      // per shard; 0 = unbounded
   std::shared_ptr<const fault_injector> faults;
+  std::shared_ptr<obs::trace_sink> sink;  // quarantine dumps
+};
+
+// Keeps the session id of every quarantine dump.
+class recording_sink : public obs::trace_sink {
+ public:
+  void on_quarantine(std::uint64_t session_id, const std::string&,
+                     const std::vector<obs::span>&) override {
+    const ts_lock lock{mutex_};
+    ids_.push_back(session_id);
+  }
+  // Dumped ids in ascending order (workers dump in any order).
+  std::vector<std::uint64_t> ids() const {
+    const ts_lock lock{mutex_};
+    std::vector<std::uint64_t> out = ids_;
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  mutable ts_mutex mutex_;
+  std::vector<std::uint64_t> ids_ IVC_GUARDED_BY(mutex_);
 };
 
 fleet_result run_fleet(const std::vector<audio::buffer>& streams,
@@ -130,6 +154,7 @@ fleet_result run_fleet(const std::vector<audio::buffer>& streams,
   cfg.worker_threads = p.workers;
   cfg.max_resident_sessions = p.max_resident;
   cfg.faults = p.faults;
+  cfg.trace_sink = p.sink;
   shard_manager front{tiny_detector(), cfg, p.shards};
   for (std::size_t s = 0; s < streams.size(); ++s) {
     front.open_session();
@@ -234,6 +259,49 @@ TEST(shard, streams_are_bit_identical_across_the_serving_matrix) {
     if (c.p.max_resident > 0) {
       EXPECT_GT(got.eviction.evictions, 0u) << c.name;  // bound bit
     }
+  }
+
+  // Stage faults are drawn per (session id, block or utterance index):
+  // a sharded fleet must draw, contain and dump exactly the faults of
+  // the same fleet on one shard, whatever shard holds a session.
+  fault_config fc;
+  fc.seed = 7;
+  fc.detector_throw_rate = 0.01;
+  fc.corrupt_block_rate = 0.01;
+  fc.recognizer_throw_rate = 0.35;
+  fc.recognizer_overrun_rate = 0.25;
+  fleet_params fault_ref_p = ref_p;
+  fault_ref_p.faults = std::make_shared<fault_injector>(fc);
+  const auto ref_sink = std::make_shared<recording_sink>();
+  fault_ref_p.sink = ref_sink;
+  const fleet_result fault_ref = run_fleet(streams, block, fault_ref_p);
+  ASSERT_GT(fault_ref.totals.stats.quarantines, 0u);  // non-vacuous
+  ASSERT_FALSE(ref_sink->ids().empty());
+
+  std::vector<case_t> fault_cases;
+  fault_cases.push_back({"2 shards, stage faults", {}});
+  fault_cases.back().p.shards = 2;
+  fault_cases.push_back({"4 shards, streaming, eviction bound 1, stage faults",
+                         {}});
+  fault_cases.back().p.shards = 4;
+  fault_cases.back().p.streaming = true;
+  fault_cases.back().p.max_resident = 1;
+  for (case_t& c : fault_cases) {
+    c.p.faults = fault_ref_p.faults;
+    const auto sink = std::make_shared<recording_sink>();
+    c.p.sink = sink;
+    const fleet_result got = run_fleet(streams, block, c.p);
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      const std::string what =
+          std::string{c.name} + ", session " + std::to_string(s);
+      expect_same_verdicts(fault_ref.verdicts[s], got.verdicts[s], what);
+      expect_same_outcomes(fault_ref.outcomes[s], got.outcomes[s], what);
+    }
+    EXPECT_EQ(fault_ref.totals.stats.quarantines,
+              got.totals.stats.quarantines)
+        << c.name;
+    // Quarantine dumps name the global ids the 1-shard fleet names.
+    EXPECT_EQ(ref_sink->ids(), sink->ids()) << c.name;
   }
 }
 
